@@ -18,7 +18,6 @@ import re
 import sys
 
 from . import decomposition, embedding, forms, moduli, volume
-from .decomposition import ChartPoint
 from .errors import InputError, NumericError, OctmoduliError
 
 SEED_ENV_VAR = "OCTMODULI_SEED"
@@ -53,12 +52,12 @@ def _parse_deficits(text: str, degrees: bool) -> forms.ConeDeficits:
     return forms.make_deficits(*(_parse_angle(t, degrees) for t in parts))
 
 
-def _parse_chart(text: str) -> ChartPoint:
+def _parse_chart(text: str) -> forms.ChartPoint:
     parts = text.split(",")
     if len(parts) != 4:
         raise CliInputError(f"chart needs four comma-separated lengths, got {text!r}")
     try:
-        return ChartPoint(*(float(t) for t in parts))
+        return forms.ChartPoint(*(float(t) for t in parts))
     except ValueError:
         raise CliInputError(f"cannot parse chart {text!r}") from None
 
@@ -86,8 +85,8 @@ def _deficits_list(d: forms.ConeDeficits) -> list[float]:
     return list(d.as_tuple())
 
 
-def _dihedral_payload(t: forms.TrigPack) -> dict[str, float]:
-    return {wi + wj: moduli.dihedral_angle(wi, wj, t)
+def _dihedral_payload(d: forms.ConeDeficits) -> dict[str, float]:
+    return {wi + wj: moduli.dihedral_angle(wi, wj, d)
             for wi, wj in (("a", "b"), ("a", "c"), ("a", "d"),
                            ("b", "c"), ("b", "d"), ("c", "d"))}
 
@@ -95,7 +94,7 @@ def _dihedral_payload(t: forms.TrigPack) -> dict[str, float]:
 def _cmd_gram(args) -> None:
     d = _parse_deficits(args.deficits, args.degrees)
     m = forms.gram_matrix(forms.trig_pack(d))
-    _ok({"deficits": _deficits_list(d), "matrix": m.entries.tolist()})
+    _ok({"deficits": _deficits_list(d), "matrix": m.tolist()})
 
 
 def _cmd_spectrum(args) -> None:
@@ -108,7 +107,7 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_dihedral(args) -> None:
     d = _parse_deficits(args.deficits, args.degrees)
-    _ok({"deficits": _deficits_list(d), "angles": _dihedral_payload(forms.trig_pack(d))})
+    _ok({"deficits": _deficits_list(d), "angles": _dihedral_payload(d)})
 
 
 def _cmd_volume(args) -> None:
@@ -190,7 +189,7 @@ def _cmd_sweep(args) -> None:
             d = forms.make_deficits(i * h, j * h, forms.TWO_PI - (i + j) * h)
             _ok({"deficits": _deficits_list(d),
                  "volume": volume.tetrahedron_volume(d),
-                 "dihedral": _dihedral_payload(forms.trig_pack(d))})
+                 "dihedral": _dihedral_payload(d)})
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,28 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import GluingInconsistent, NonPositiveChart, UnknownVertex
-from .forms import ConeDeficits
+from .forms import ChartPoint, ConeDeficits
 
 Vec2 = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Chart coordinates (a, b, c, d): the four segment lengths of the decomposition."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -80,8 +64,6 @@ class PlanarOctagon:
     interior: tuple[Vec2, Vec2]
 
     VERTEX_LABELS = ("O1", "v1", "O3", "v3", "O1'", "v1'", "O3'", "v2'")
-    # index pairs of boundary sides that develop parallel with equal length
-    MARKED_SIDE_PAIRS = ((0, 4), (1, 5), (2, 7), (3, 6))
 
     def side_lengths(self) -> tuple[float, ...]:
         v = self.vertices
@@ -294,7 +276,11 @@ def develop_octagon(p: ChartPoint, d: ConeDeficits) -> PlanarOctagon:
 _EDGE_COLORS = {"a": "#c0392b", "b": "#2471a3", "c": "#1e8449", "d": "#b9770e"}
 _GROUP_FILLS = {1: "#fadbd8", 2: "#d6eaf8", 3: "#d5f5e3"}
 
-_SVG_DEFAULTS = {"scale": 120.0, "margin": 24.0, "labels": True, "gap": 0.35}
+# pixels per unit length, page margin in pixels, and the gap between the two
+# octagons as a fraction of one octagon's width
+_SVG_SCALE = 120.0
+_SVG_MARGIN = 24.0
+_SVG_GAP = 0.35
 
 
 def _fmt(x: float) -> str:
@@ -339,7 +325,7 @@ def _octagon_faces(p: ChartPoint, d: ConeDeficits) -> list[tuple[str, list[Vec2]
     ]
 
 
-def svg_net(p: ChartPoint, d: ConeDeficits, options: Mapping | None = None) -> str:
+def svg_net(p: ChartPoint, d: ConeDeficits) -> str:
     """SVG document showing all twelve faces of the decomposition.
 
     Left group: the octagon development (P1..P5) with the P6/P6' faces
@@ -348,16 +334,12 @@ def svg_net(p: ChartPoint, d: ConeDeficits, options: Mapping | None = None) -> s
     share a color) and faces are filled by their delta_i/2 group.  Output is
     deterministic: same input, same bytes.
     """
-    opts = dict(_SVG_DEFAULTS)
-    if options:
-        opts.update(options)
-    scale, margin = float(opts["scale"]), float(opts["margin"])
-
+    scale, margin = _SVG_SCALE, _SVG_MARGIN
     base = _octagon_faces(p, d)
     xs = [pt[0] for _, poly in base for pt in poly]
     ys = [pt[1] for _, poly in base for pt in poly]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    gap = float(opts["gap"]) * (x1 - x0)
+    gap = _SVG_GAP * (x1 - x0)
     shift = (x1 - x0) + gap
 
     faces: list[tuple[str, list[Vec2]]] = list(base)
@@ -391,13 +373,12 @@ def svg_net(p: ChartPoint, d: ConeDeficits, options: Mapping | None = None) -> s
             lines.append(f'<line x1="{_fmt(q0[0])}" y1="{_fmt(q0[1])}" '
                          f'x2="{_fmt(q1[0])}" y2="{_fmt(q1[1])}" '
                          f'stroke="{color}" stroke-width="2"/>')
-    if opts["labels"]:
-        for label, poly in faces:
-            cx = sum(q[0] for q in poly) / 4
-            cy = sum(q[1] for q in poly) / 4
-            q = to_px((cx, cy))
-            lines.append(f'<text x="{_fmt(q[0])}" y="{_fmt(q[1])}" '
-                         f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="12">{label}</text>')
+    for label, poly in faces:
+        cx = sum(q[0] for q in poly) / 4
+        cy = sum(q[1] for q in poly) / 4
+        q = to_px((cx, cy))
+        lines.append(f'<text x="{_fmt(q[0])}" y="{_fmt(q[1])}" '
+                     f'text-anchor="middle" font-family="sans-serif" '
+                     f'font-size="12">{label}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

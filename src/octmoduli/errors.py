@@ -56,10 +56,6 @@ class DegenerateVertices(InputError):
     pass
 
 
-class NotOctahedralHull(InputError):
-    pass
-
-
 class BoundsViolated(NumericError):
     pass
 

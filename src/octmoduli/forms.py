@@ -7,16 +7,16 @@ The surface area of a centrally symmetric octahedron in chart coordinates
 
 with S_i = sin(delta_i / 2).  Q has signature (1, 3), so its unit level set
 is a copy of hyperbolic 3-space.  This module holds the deficit data, the
-Gram matrix of Q, its closed-form spectrum and the polarized bilinear
-product; everything downstream (gluing, moduli geometry, volume) is built
-on top of these.
+chart coordinates, the Gram matrix of Q, its closed-form spectrum and the
+polarized bilinear product; everything downstream (gluing, moduli geometry,
+volume) is built on top of these.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,22 @@ class ConeDeficits:
 
 
 @dataclass(frozen=True)
+class ChartPoint:
+    """Chart coordinates (a, b, c, d): the four segment lengths of the decomposition."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.a, self.b, self.c, self.d)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.as_tuple())
+
+
+@dataclass(frozen=True)
 class TrigPack:
     """Half-deficit sines and cosines: s_i = sin(delta_i/2), c_i = cos(delta_i/2)."""
 
@@ -65,13 +81,6 @@ class TrigPack:
     @property
     def c(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)
-
-
-@dataclass(frozen=True, eq=False)
-class GramForm:
-    """Symmetric 4x4 matrix of the area form (zero diagonal, S_i pattern)."""
-
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,9 @@ def trig_pack(deficits: ConeDeficits) -> TrigPack:
                     math.cos(h1), math.cos(h2), math.cos(h3))
 
 
-def gram_matrix(t: TrigPack) -> GramForm:
-    """Gram matrix of the area form: zero diagonal, rows patterned by S1, S2, S3."""
+def gram_matrix(t: TrigPack) -> np.ndarray:
+    """Read-only Gram matrix of the area form: zero diagonal, rows patterned by
+    S1, S2, S3."""
     m = np.array([
         [0.0, t.s1, t.s2, t.s3],
         [t.s1, 0.0, t.s3, t.s2],
@@ -122,7 +132,7 @@ def gram_matrix(t: TrigPack) -> GramForm:
         [t.s3, t.s2, t.s1, 0.0],
     ])
     m.flags.writeable = False
-    return GramForm(m)
+    return m
 
 
 def spectrum(t: TrigPack) -> Spectrum:

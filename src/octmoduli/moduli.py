@@ -6,10 +6,12 @@ hyperboloid B(p, p) = 1 inside the positive orthant, a copy of hyperbolic
 hyperplanes meeting three at a time in the four ideal coordinate directions;
 the result is an ideal tetrahedron whose dihedral angle along the wall pair
 {x=0, u=0} is delta_k/2, where S_k is the coefficient of the x*u monomial in
-the area form.  This module provides normalization, hyperboloid distance,
-wall normals and reflections, dihedral angles, boundary classification, the
-unlabeled-quotient symmetry groups and the Klein ball model used as an
-independent verification chart.
+the area form.  `dihedral_angle` returns that closed form; the test suite
+checks it against `tests/helpers.py::dihedral_oracle`, which measures the
+angle between the wall normals in 50-digit arithmetic.  This module provides
+normalization, hyperboloid distance, wall normals and reflections, dihedral
+angles, boundary classification, the unlabeled-quotient symmetry groups and
+the Klein ball model used as an independent verification chart.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ChartPoint
 from .errors import (MixedContext, NegativeCoordinate, NonPositiveLeadingCoordinate,
                      NotTimelikeSeparated, SameWall, ZeroArea)
-from .forms import ConeDeficits, TrigPack, area, lorentz_product, spectrum
+from .forms import ChartPoint, ConeDeficits, TrigPack, area, lorentz_product, spectrum
 
 WALLS = ("a", "b", "c", "d")
 _WALL_INDEX = {"a": 0, "b": 1, "c": 2, "d": 3}
@@ -33,6 +34,10 @@ _PAIR_GROUP = {
     frozenset(("a", "c")): 2, frozenset(("b", "d")): 2,
     frozenset(("a", "d")): 3, frozenset(("b", "c")): 3,
 }
+
+# the four null coordinate directions where triples of walls meet
+IDEAL_VERTICES = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 # Euclidean-orthogonal eigenbasis of the Gram matrix, eigenvalues x1..x4
 _EIGENBASIS = np.array([
@@ -122,34 +127,21 @@ def wall_normal(wall: str, t: TrigPack) -> WallNormal:
     return WallNormal(wall, tuple(n))
 
 
-def _lorentz_product_extended(p, q, t: TrigPack):
-    """lorentz_product in extended precision; the normal products suffer heavy
-    relative rounding near degenerate deficits (B(n, n) = -2 S1 S2 S3)."""
-    a, b, c, d = (np.longdouble(x) for x in p)
-    a2, b2, c2, d2 = (np.longdouble(x) for x in q)
-    s1, s2, s3 = (np.longdouble(x) for x in t.s)
-    return (((a * b2 + a2 * b) + (c * d2 + c2 * d)) * s1
-            + ((a * c2 + a2 * c) + (b * d2 + b2 * d)) * s2
-            + ((a * d2 + a2 * d) + (b * c2 + b2 * c)) * s3)
+def dihedral_angle(wall_i: str, wall_j: str, d: ConeDeficits) -> float:
+    """Angle between two bounding hyperplanes: delta_k/2, with S_k the
+    coefficient of the x*u monomial of the wall pair {x=0, u=0}.
 
-
-def dihedral_angle(wall_i: str, wall_j: str, t: TrigPack) -> float:
-    """Angle between two bounding hyperplanes: delta_k/2 for the pair group k.
-
-    Computed as arccos(B(n_i, n_j) / sqrt(B(n_i, n_i) B(n_j, n_j))); since the
-    normals are spacelike with equal length squares this equals arccos of
-    minus the signed quotient B(n_i, n_j) / B(n_i, n_i), and the raw signed
-    quotient is minus the cosine of the dihedral angle.
+    This is the closed form the theorem proves for the angle between the
+    wall normals, arccos(-B(n_i, n_j) / B(n_i, n_i)); it is exact where a
+    floating-point evaluation of that quotient loses the small angles of
+    near-degenerate deficits.
     """
     if wall_i == wall_j:
         raise SameWall(f"walls must be distinct, got {wall_i!r} twice")
-    ni = wall_normal(wall_i, t).n
-    nj = wall_normal(wall_j, t).n
-    num = _lorentz_product_extended(ni, nj, t)
-    den = np.sqrt(_lorentz_product_extended(ni, ni, t)
-                  * _lorentz_product_extended(nj, nj, t))
-    cos = np.clip(num / den, np.longdouble(-1.0), np.longdouble(1.0))
-    return float(np.arccos(cos))
+    k = _PAIR_GROUP.get(frozenset((wall_i, wall_j)))
+    if k is None:
+        raise ValueError(f"unknown wall in {wall_i!r}, {wall_j!r}")
+    return d.as_tuple()[k - 1] / 2
 
 
 def reflect_wall(p, wall: str, t: TrigPack) -> tuple[float, float, float, float]:
@@ -173,12 +165,6 @@ def reflect_wall(p, wall: str, t: TrigPack) -> tuple[float, float, float, float]
         if j != i:
             out[j] = vals[j] + 2.0 * x * cos[_PAIR_GROUP[frozenset((wall, u))]]
     return tuple(out)
-
-
-def ideal_vertices(t: TrigPack) -> tuple[tuple[float, ...], ...]:
-    """The four null coordinate directions where triples of walls meet."""
-    return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def classify_boundary(p: ChartPoint) -> str:
@@ -258,13 +244,4 @@ def klein_coordinates(p: ModuliPoint) -> np.ndarray:
 
 def klein_ideal_vertices(t: TrigPack) -> np.ndarray:
     """Klein images of the four ideal vertices; each is a unit vector."""
-    return np.stack([_klein_of_raw(np.asarray(v), t) for v in ideal_vertices(t)])
-
-
-def klein_distance(u, v) -> float:
-    """Independent Klein-model distance oracle between two ball points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    num = 1.0 - float(np.dot(u, v))
-    den = math.sqrt((1.0 - float(np.dot(u, u))) * (1.0 - float(np.dot(v, v))))
-    return math.acosh(max(num / den, 1.0))
+    return np.stack([_klein_of_raw(np.asarray(v), t) for v in IDEAL_VERTICES])

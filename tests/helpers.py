@@ -2,12 +2,19 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from octmoduli import ChartPoint, make_deficits
 from octmoduli.embedding import EmbeddedOctahedron, o_points
 
 TWO_PI = 2.0 * math.pi
+
+# index pairs of boundary sides of PlanarOctagon that develop parallel with equal length
+MARKED_SIDE_PAIRS = ((0, 4), (1, 5), (2, 7), (3, 6))
+
+# deficit index k of the S_k-weighted monomial x*u of the area form, per chart-letter pair
+_MONOMIAL_GROUP = {"ab": 1, "cd": 1, "ac": 2, "bd": 2, "ad": 3, "bc": 3}
 
 
 def sample_deficits(rng, margin=0.05):
@@ -16,6 +23,61 @@ def sample_deficits(rng, margin=0.05):
         d = TWO_PI * rng.dirichlet((1.0, 1.0, 1.0))
         if d.min() >= margin:
             return make_deficits(*d)
+
+
+def sample_near_degenerate_deficits(rng, low=1e-9, high=1e-3):
+    """Deficit triple with one entry log-uniform in [low, high], at a random
+    position, and the rest of 2*pi split uniformly between the other two."""
+    small = math.exp(rng.uniform(math.log(low), math.log(high)))
+    rest = TWO_PI - small
+    split = rest * rng.uniform(0.05, 0.95)
+    d = [split, rest - split]
+    d.insert(int(rng.integers(3)), small)
+    return make_deficits(*d)
+
+
+def dihedral_oracle(wall_i, wall_j, deficits):
+    """Angle between the walls x=0 and u=0 measured from their normals,
+    arccos(-B(n_i, n_j) / B(n_i, n_i)), in 50-digit arithmetic.
+
+    The normal of wall x has entry 1 at x and -cos(delta_k/2) at each other
+    coordinate u, with S_k the coefficient of x*u in the area form B.  The
+    deficits are first rescaled to sum to 2*pi exactly: the theorem needs the
+    exact sum, and a near-degenerate angle moves by 1e-6 relative under the
+    last bit of a double sum.  Near degenerate deficits B(n, n) cancels to
+    O(delta) and arccos near 1 divides the rounding of the quotient by
+    theta^2; 40 digits leave 2e-13 relative at delta = 1e-9, 50 digits only
+    the final rounding to a double.
+    """
+    letters = "abcd"
+
+    def group(x, u):
+        return _MONOMIAL_GROUP[x + u if x < u else u + x]
+
+    with mp.workdps(50):
+        deltas = [mp.mpf(x) for x in deficits.as_tuple()]
+        halves = [x * mp.pi / sum(deltas) for x in deltas]
+        sin = {k: mp.sin(h) for k, h in zip((1, 2, 3), halves)}
+        cos = {k: mp.cos(h) for k, h in zip((1, 2, 3), halves)}
+
+        def normal(x):
+            return [mp.mpf(1) if u == x else -cos[group(x, u)] for u in letters]
+
+        def form(p, q):
+            return sum(sin[group(letters[i], letters[j])] * (p[i] * q[j] + p[j] * q[i])
+                       for i in range(4) for j in range(i + 1, 4))
+
+        ni, nj = normal(wall_i), normal(wall_j)
+        return float(mp.acos(-form(ni, nj) / form(ni, ni)))
+
+
+def klein_distance(u, v):
+    """Independent Klein-model distance oracle between two ball points."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    num = 1.0 - float(np.dot(u, v))
+    den = math.sqrt((1.0 - float(np.dot(u, u))) * (1.0 - float(np.dot(v, v))))
+    return math.acosh(max(num / den, 1.0))
 
 
 def sample_chart(rng, low=0.1, high=10.0):

@@ -11,7 +11,8 @@ import time
 import mpmath as mp
 import numpy as np
 
-from helpers import sample_chart, sample_deficits
+from helpers import (dihedral_oracle, klein_distance, sample_chart, sample_deficits,
+                     sample_near_degenerate_deficits)
 from octmoduli import (ChartPoint, alpha_beta, area, build_gluing, chart, cone_angle,
                        deficits, dihedral_angle, distance, face_angles, gram_matrix,
                        klein_coordinates, klein_ideal_vertices, lobachevsky,
@@ -21,7 +22,7 @@ from octmoduli import (ChartPoint, alpha_beta, area, build_gluing, chart, cone_a
                        tetrahedron_volume, trig_pack, validate)
 from octmoduli.cli import main as cli_main
 from octmoduli.decomposition import prime
-from octmoduli.moduli import WALLS, klein_distance
+from octmoduli.moduli import WALLS
 
 EQUILATERAL = make_deficits(2 * math.pi / 3, 2 * math.pi / 3, 2 * math.pi / 3)
 RIGHT = make_deficits(math.pi, math.pi / 2, math.pi / 2)
@@ -108,7 +109,7 @@ def test_criterion_4_spectrum_signature():
     for _ in range(1000):
         t = trig_pack(sample_deficits(rng))
         closed = np.sort(np.array(spectrum(t).as_tuple()))
-        numeric = np.linalg.eigvalsh(gram_matrix(t).entries)
+        numeric = np.linalg.eigvalsh(gram_matrix(t))
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
         sig_ok &= signature(t) == (1, 3)
     ok = worst <= 1e-10 and sig_ok
@@ -149,28 +150,36 @@ def test_criterion_5_isometry_checks():
 
 
 def test_criterion_6_dihedral_angles():
+    # the closed form delta_k/2 against the angle between the wall normals,
+    # measured by the 50-digit oracle; relative error on the near-degenerate set
     rng = np.random.default_rng(66)
     pair_table = {("a", "b"): 0, ("c", "d"): 0, ("a", "c"): 1, ("b", "d"): 1,
                   ("a", "d"): 2, ("b", "c"): 2}
-    worst = worst_opp = worst_sum = 0.0
-    for _ in range(1000):
-        d = sample_deficits(rng)
-        t = trig_pack(d)
+    generic = [sample_deficits(rng) for _ in range(1000)]
+    near = [make_deficits(1e-9, math.pi, math.pi - 1e-9)]
+    near += [sample_near_degenerate_deficits(rng) for _ in range(200)]
+    worst = worst_rel = worst_opp = worst_sum = 0.0
+    for d in generic + near:
         halves = [x / 2 for x in d.as_tuple()]
-        angles = {pair: dihedral_angle(*pair, t) for pair in pair_table}
+        angles = {pair: dihedral_oracle(*pair, d) for pair in pair_table}
         for pair, idx in pair_table.items():
-            worst = max(worst, abs(angles[pair] - halves[idx]))
+            assert dihedral_angle(*pair, d) == halves[idx]
+            err = abs(angles[pair] - halves[idx])
+            worst = max(worst, err)
+            worst_rel = max(worst_rel, err / min(halves[idx], 1.0))
         worst_opp = max(worst_opp,
                         abs(angles[("a", "b")] - angles[("c", "d")]),
                         abs(angles[("a", "c")] - angles[("b", "d")]),
                         abs(angles[("a", "d")] - angles[("b", "c")]))
         worst_sum = max(worst_sum, abs(angles[("a", "b")] + angles[("a", "c")]
                                        + angles[("a", "d")] - math.pi))
-    t = trig_pack(EQUILATERAL)
-    eq_ok = all(abs(dihedral_angle(*pair, t) - math.pi / 3) <= 1e-12
+    eq_ok = all(abs(dihedral_oracle(*pair, EQUILATERAL) - math.pi / 3) <= 1e-12
+                and dihedral_angle(*pair, EQUILATERAL) == EQUILATERAL.delta1 / 2
                 for pair in pair_table)
-    ok = worst <= 1e-12 and worst_opp <= 1e-12 and worst_sum <= 1e-11 and eq_ok
-    report(6, ok, f"1000 deficit triples: pairing err {worst:.2e}, opposite err "
+    ok = (worst <= 1e-12 and worst_rel <= 1e-12 and worst_opp <= 1e-12
+          and worst_sum <= 1e-11 and eq_ok)
+    report(6, ok, f"{len(generic)} + {len(near)} near-degenerate deficit triples: oracle "
+                  f"err {worst:.2e} (relative {worst_rel:.2e}), opposite err "
                   f"{worst_opp:.2e}, sum err {worst_sum:.2e}, equilateral {eq_ok}")
 
 

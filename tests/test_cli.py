@@ -48,6 +48,18 @@ def test_dihedral_preset(capsys):
         assert angles[key] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
+def test_dihedral_near_degenerate_is_half_deficit(capsys):
+    # delta = (1e-9, pi, pi - 1e-9); the angle grammar has no "pi-1e-9" form
+    deficits = ",".join(repr(x) for x in (1e-9, math.pi, math.pi - 1e-9))
+    code, doc = run_json(capsys, "dihedral", "--deficits", deficits)
+    assert code == 0
+    d1, d2, d3 = doc["payload"]["deficits"]
+    angles = doc["payload"]["angles"]
+    assert angles["ab"] == angles["cd"] == d1 / 2
+    assert angles["ac"] == angles["bd"] == d2 / 2
+    assert angles["ad"] == angles["bc"] == d3 / 2
+
+
 def test_volume_command(capsys):
     code, doc = run_json(capsys, "volume", "--deficits", "2pi/3,2pi/3,2pi/3")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,34 @@ def test_validate_skew_support_example():
     # any independent triple passes the face-plane support test
     e = validate(E3[0], E3[1], [10.0, 10.0, 1.0])
     assert deficits(e).as_tuple() == pytest.approx(deficits(e).as_tuple())
+
+
+def test_validate_accepts_only_octahedral_hulls_fuzz():
+    # oracle for the support test validate does not need: every accepted triple,
+    # also within 1e-14..1e-8 of dependence, has the origin and the three
+    # opposite vertices strictly on one side of each of the 8 sign-triangle planes
+    rng = np.random.default_rng(29)
+    near_accepted = near_rejected = 0
+    for i in range(2000):
+        v1, v2, w = rng.normal(size=(3, 3))
+        near = i % 2 == 1
+        v3 = w
+        if near:
+            a, b = rng.normal(size=2)
+            v3 = a * v1 + b * v2 + 10.0 ** rng.uniform(-14, -8) * w
+        try:
+            e = validate(v1, v2, v3)
+        except DegenerateVertices:
+            near_rejected += near
+            continue
+        near_accepted += near
+        for e1, e2, e3 in itertools.product((1, -1), repeat=3):
+            pts = [e1 * e.v1, e2 * e.v2, e3 * e.v3]
+            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            h = float(np.dot(n, pts[0]))
+            margins = [-h] + [-float(np.dot(n, p)) - h for p in pts]
+            assert all(m > 0 for m in margins) or all(m < 0 for m in margins)
+    assert near_accepted > 100 and near_rejected > 100
 
 
 def test_face_angles_regular():

@@ -63,18 +63,19 @@ def test_trig_pack_pythagorean_and_angle_sum_identity():
 
 
 def test_gram_matrix_pattern():
-    m = gram_matrix(trig_pack(EQUILATERAL)).entries
+    m = gram_matrix(trig_pack(EQUILATERAL))
+    assert not m.flags.writeable
     off = math.sqrt(3) / 2
     assert np.allclose(m, off * (np.ones((4, 4)) - np.eye(4)), atol=1e-15)
 
-    m = gram_matrix(trig_pack(RIGHT)).entries
+    m = gram_matrix(trig_pack(RIGHT))
     assert m[0].tolist() == pytest.approx([0.0, 1.0, math.sqrt(2) / 2, math.sqrt(2) / 2],
                                           abs=1e-15)
 
     rng = np.random.default_rng(12)
     for _ in range(100):
         t = trig_pack(sample_deficits(rng))
-        m = gram_matrix(t).entries
+        m = gram_matrix(t)
         assert np.all(np.diag(m) == 0.0)
         assert np.array_equal(m, m.T)
         assert m[1].tolist() == [t.s1, 0.0, t.s3, t.s2]
@@ -87,7 +88,7 @@ def test_spectrum_equilateral():
     x = spectrum(trig_pack(EQUILATERAL)).as_tuple()
     s = math.sqrt(3) / 2
     assert x == pytest.approx((3 * s, -s, -s, -s), abs=1e-15)
-    numeric = np.linalg.eigvalsh(gram_matrix(trig_pack(EQUILATERAL)).entries)
+    numeric = np.linalg.eigvalsh(gram_matrix(trig_pack(EQUILATERAL)))
     assert sorted(x) == pytest.approx(numeric.tolist(), abs=1e-14)
 
 
@@ -103,7 +104,7 @@ def test_spectrum_matches_numeric_eigensolver():
         t = trig_pack(sample_deficits(rng))
         roots = spectrum(t).as_tuple()
         assert roots[0] > 0 and all(x < 0 for x in roots[1:])
-        numeric = np.linalg.eigvalsh(gram_matrix(t).entries)
+        numeric = np.linalg.eigvalsh(gram_matrix(t))
         assert np.max(np.abs(np.array(sorted(roots)) - numeric)) <= 1e-10
 
 
@@ -118,7 +119,7 @@ def test_eigenvectors_of_gram_matrix():
     rng = np.random.default_rng(14)
     for _ in range(100):
         t = trig_pack(sample_deficits(rng))
-        m = gram_matrix(t).entries
+        m = gram_matrix(t)
         roots = spectrum(t).as_tuple()
         for vec, idx in vectors.items():
             u = np.array(vec, dtype=float)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import sample_chart, sample_deficits
-from octmoduli import (ChartPoint, area, canonical_form, classify_boundary,
-                       dihedral_angle, distance, ideal_vertices, klein_coordinates,
-                       klein_ideal_vertices, lorentz_product, make_deficits, normalize,
-                       reflect_wall, symmetry_group, trig_pack, wall_normal)
-from octmoduli.moduli import WALLS, ModuliPoint, klein_distance
+from helpers import (dihedral_oracle, klein_distance, sample_chart, sample_deficits,
+                     sample_near_degenerate_deficits)
+from octmoduli import (IDEAL_VERTICES, ChartPoint, area, canonical_form, classify_boundary,
+                       dihedral_angle, distance, klein_coordinates, klein_ideal_vertices,
+                       lorentz_product, make_deficits, normalize, reflect_wall,
+                       symmetry_group, trig_pack, wall_normal)
+from octmoduli.moduli import WALLS, ModuliPoint
 from octmoduli.errors import (MixedContext, NegativeCoordinate,
                               NonPositiveLeadingCoordinate, NotTimelikeSeparated,
                               SameWall, ZeroArea)
@@ -128,31 +129,42 @@ def test_wall_normals_annihilate_their_wall():
 
 
 def test_dihedral_angle_pairing_table():
+    # the closed form against the angle between the wall normals (mpmath oracle)
     rng = np.random.default_rng(45)
     for _ in range(1000):
         d = sample_deficits(rng)
-        t = trig_pack(d)
         halves = {1: d.delta1 / 2, 2: d.delta2 / 2, 3: d.delta3 / 2}
         for (wi, wj), k in PAIR_TABLE.items():
-            assert abs(dihedral_angle(wi, wj, t) - halves[k]) <= 1e-12
-            assert dihedral_angle(wi, wj, t) == dihedral_angle(wj, wi, t)
+            assert dihedral_angle(wi, wj, d) == halves[k]
+            assert dihedral_angle(wi, wj, d) == dihedral_angle(wj, wi, d)
+            assert abs(dihedral_oracle(wi, wj, d) - halves[k]) <= 1e-12
+
+
+def test_dihedral_angle_near_degenerate_matches_oracle():
+    # one deficit in [1e-9, 1e-3]: relative agreement, so the small angle counts
+    rng = np.random.default_rng(57)
+    cases = [make_deficits(1e-9, math.pi, math.pi - 1e-9)]
+    cases += [sample_near_degenerate_deficits(rng) for _ in range(200)]
+    for d in cases:
+        for wi, wj in PAIR_TABLE:
+            got = dihedral_angle(wi, wj, d)
+            assert abs(dihedral_oracle(wi, wj, d) - got) <= 1e-12 * min(got, 1.0)
 
 
 def test_dihedral_angles_sum_and_equilateral():
-    t = trig_pack(EQUILATERAL)
     for wi, wj in PAIR_TABLE:
-        assert dihedral_angle(wi, wj, t) == pytest.approx(math.pi / 3, abs=1e-14)
+        assert dihedral_angle(wi, wj, EQUILATERAL) == pytest.approx(math.pi / 3, abs=1e-14)
     rng = np.random.default_rng(46)
     for _ in range(100):
-        t = trig_pack(sample_deficits(rng))
-        total = (dihedral_angle("a", "b", t) + dihedral_angle("a", "c", t)
-                 + dihedral_angle("a", "d", t))
+        d = sample_deficits(rng)
+        total = (dihedral_angle("a", "b", d) + dihedral_angle("a", "c", d)
+                 + dihedral_angle("a", "d", d))
         assert abs(total - math.pi) <= 1e-12
 
 
 def test_dihedral_same_wall_rejected():
     with pytest.raises(SameWall):
-        dihedral_angle("a", "a", trig_pack(EQUILATERAL))
+        dihedral_angle("a", "a", EQUILATERAL)
 
 
 def test_reflect_wall_closed_form_for_d():
@@ -187,10 +199,10 @@ def test_reflect_wall_involution_and_form_invariance():
 
 def test_ideal_vertices_null_and_wall_membership():
     rng = np.random.default_rng(49)
+    verts = IDEAL_VERTICES
+    assert len(verts) == 4
     for _ in range(50):
         t = trig_pack(sample_deficits(rng))
-        verts = ideal_vertices(t)
-        assert len(verts) == 4
         for i, v in enumerate(verts):
             assert lorentz_product(v, v, t) == 0.0
             # lies in exactly the three walls whose coordinate vanishes
