@@ -30,6 +30,10 @@ class CliInputError(InputError):
     pass
 
 
+class NonFiniteOutput(NumericError):
+    pass
+
+
 def _parse_angle(token: str, degrees: bool = False) -> float:
     token = token.strip()
     m = _PI_FORM.match(token)
@@ -57,24 +61,37 @@ def _parse_chart(text: str) -> forms.ChartPoint:
     if len(parts) != 4:
         raise CliInputError(f"chart needs four comma-separated lengths, got {text!r}")
     try:
-        return forms.ChartPoint(*(float(t) for t in parts))
+        lengths = [float(t) for t in parts]
     except ValueError:
         raise CliInputError(f"cannot parse chart {text!r}") from None
+    if not all(math.isfinite(x) for x in lengths):
+        raise CliInputError(f"chart lengths must be finite, got {text!r}")
+    return forms.ChartPoint(*lengths)
 
 
 def _parse_vertices(text: str):
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise CliInputError(f"vertices must be a JSON 3x3 array: {exc}") from None
     if (not isinstance(rows, list) or len(rows) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
         raise CliInputError("vertices must be a JSON 3x3 array")
-    return rows
+    # bool is a subclass of int, but JSON true/false is not a coordinate
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for r in rows for x in r):
+        raise CliInputError("vertices must be a JSON 3x3 array of numbers")
+    try:
+        return [[float(x) for x in r] for r in rows]
+    except OverflowError:
+        raise CliInputError("vertex coordinates must be finite") from None
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutput("result has a non-finite value (NaN or infinity)") from None
+    sys.stdout.write(text + "\n")
 
 
 def _ok(payload, diagnostics=()) -> None:
@@ -112,6 +129,8 @@ def _cmd_dihedral(args) -> None:
 
 def _cmd_volume(args) -> None:
     d = _parse_deficits(args.deficits, args.degrees)
+    if args.workers < 1:
+        raise CliInputError("--workers must be at least 1")
     payload = {"deficits": _deficits_list(d), "volume": volume.tetrahedron_volume(d)}
     if args.mc:
         est = volume.monte_carlo_volume(d, args.mc, args.seed,
@@ -152,8 +171,12 @@ def _cmd_chart(args) -> None:
         "area": forms.area(p, forms.trig_pack(d)),
     }
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(decomposition.svg_net(p, d))
+        net = decomposition.svg_net(p, d)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(net)
+        except OSError as exc:
+            raise CliInputError(f"cannot write --svg {args.svg!r}: {exc.strerror}") from None
         payload["svg_path"] = args.svg
     _ok(payload)
 

@@ -42,7 +42,7 @@ class ParallelogramSpec:
 
 @dataclass(frozen=True, eq=False)
 class GluingComplex:
-    """Twelve faces with paired edges and labeled corner classes."""
+    """Twelve faces, in FACE_LABELS order, with paired edges and labeled corner classes."""
 
     faces: tuple[ParallelogramSpec, ...]
     edge_pairs: tuple[tuple[tuple[str, int], tuple[str, int]], ...]
@@ -137,6 +137,32 @@ def face_edge_letters(label: str) -> tuple[str, str, str, str]:
     return _FACE_EDGE_LETTERS[label[:-1] if label.endswith("'") else label]
 
 
+def _edge_pairs() -> tuple[tuple[tuple[str, int], tuple[str, int]], ...]:
+    """The 24 glued (face, edge index) slot pairs, ordered by their sorted
+    end-point labels.  Both slots of a pair carry the same chart letter."""
+    slots: dict[frozenset[str], list[tuple[str, int]]] = {}
+    for label in FACE_LABELS:
+        verts = face_vertices(label)
+        for i in range(4):
+            slots.setdefault(frozenset((verts[i], verts[(i + 1) % 4])), []).append((label, i))
+    return tuple(tuple(group) for _, group in sorted(slots.items(), key=lambda kv: sorted(kv[0])))
+
+
+# Input-independent combinatorics of the complex, fixed by the tables above.
+_EDGE_PAIRS = _edge_pairs()
+# per vertex orbit, its corners (face index in FACE_LABELS, is a vertex corner)
+# in face then corner order
+_ORBIT_CORNERS: Mapping[str, tuple[tuple[int, bool], ...]] = {
+    orbit: tuple((k, i % 2 == 1) for k, label in enumerate(FACE_LABELS)
+                 for i, v in enumerate(face_vertices(label)) if v == orbit)
+    for orbit in VERTEX_ORBITS
+}
+# per face: label, side letters, deficit index and its vertex corner (the
+# corners alternate O, v, O, v, so the vertex corner is corner 1)
+_FACE_SPECS = tuple((label, *_FACE_SIDES_GROUP[label.rstrip("'")], face_vertices(label)[1])
+                    for label in FACE_LABELS)
+
+
 def _letters(p: ChartPoint) -> dict[str, float]:
     return {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
 
@@ -147,14 +173,8 @@ def parallelogram_family(p: ChartPoint, d: ConeDeficits) -> list[ParallelogramSp
         raise NonPositiveChart(f"chart {p.as_tuple()!r} must be strictly positive")
     lengths = _letters(p)
     halves = {1: d.delta1 / 2, 2: d.delta2 / 2, 3: d.delta3 / 2}
-    out = []
-    for label in FACE_LABELS:
-        base = label[:-1] if label.endswith("'") else label
-        u, v, g = _FACE_SIDES_GROUP[base]
-        verts = face_vertices(label)
-        corner = next(x for x in verts if x.startswith("v"))
-        out.append(ParallelogramSpec(label, lengths[u], lengths[v], halves[g], corner))
-    return out
+    return [ParallelogramSpec(label, lengths[u], lengths[v], halves[g], corner)
+            for label, u, v, g, corner in _FACE_SPECS]
 
 
 def build_gluing(family: list[ParallelogramSpec]) -> GluingComplex:
@@ -162,7 +182,9 @@ def build_gluing(family: list[ParallelogramSpec]) -> GluingComplex:
 
     Raises GluingInconsistent if the family does not form the standard
     complex (this signals a bug, not a user error: parallelogram_family
-    output always glues).
+    output always glues).  The edge pairing is input-independent
+    (`_EDGE_PAIRS`) and glues edges of one chart letter, so glued lengths
+    are equal once every face agrees on the letter values.
     """
     by_label = {f.label: f for f in family}
     if len(family) != 12 or set(by_label) != set(FACE_LABELS):
@@ -171,33 +193,13 @@ def build_gluing(family: list[ParallelogramSpec]) -> GluingComplex:
     # recover the chart letter values and cross-check every face against them
     lengths: dict[str, float] = {}
     for f in family:
-        base = f.label[:-1] if f.label.endswith("'") else f.label
-        u, v, _ = _FACE_SIDES_GROUP[base]
+        u, v, _ = _FACE_SIDES_GROUP[f.label.rstrip("'")]
         for letter, value in ((u, f.side_u), (v, f.side_v)):
             if lengths.setdefault(letter, value) != value:
                 raise GluingInconsistent(f"side {letter} disagrees across faces")
 
-    slots: dict[frozenset[str], list[tuple[tuple[str, int], float]]] = {}
-    for label in FACE_LABELS:
-        verts = face_vertices(label)
-        letters = face_edge_letters(label)
-        for i in range(4):
-            key = frozenset((verts[i], verts[(i + 1) % 4]))
-            slots.setdefault(key, []).append(((label, i), lengths[letters[i]]))
-
-    pairs = []
-    for key, group in sorted(slots.items(), key=lambda kv: sorted(kv[0])):
-        if len(group) != 2:
-            raise GluingInconsistent(f"edge {set(key)} lies in {len(group)} faces")
-        (slot_a, len_a), (slot_b, len_b) = group
-        if len_a != len_b:
-            raise GluingInconsistent(f"edge {set(key)} glues unequal lengths")
-        pairs.append((slot_a, slot_b))
-    if len(pairs) != 24:
-        raise GluingInconsistent(f"expected 24 edges, found {len(pairs)}")
-
     faces = tuple(by_label[label] for label in FACE_LABELS)
-    return GluingComplex(faces, tuple(pairs), VERTEX_ORBITS)
+    return GluingComplex(faces, _EDGE_PAIRS, VERTEX_ORBITS)
 
 
 def cone_angle(g: GluingComplex, vertex_label: str) -> float:
@@ -210,10 +212,9 @@ def cone_angle(g: GluingComplex, vertex_label: str) -> float:
     if vertex_label not in g.vertex_orbits:
         raise UnknownVertex(f"unknown vertex orbit {vertex_label!r}")
     total = 0.0
-    for f in g.faces:
-        for i, v in enumerate(face_vertices(f.label)):
-            if v == vertex_label:
-                total += f.corner_angle if i % 2 == 1 else math.pi - f.corner_angle
+    for k, vertex_corner in _ORBIT_CORNERS[vertex_label]:
+        angle = g.faces[k].corner_angle
+        total += angle if vertex_corner else math.pi - angle
     return total
 
 

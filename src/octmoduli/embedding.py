@@ -14,12 +14,21 @@ one inside T1 (called O1); the chart is read off as four segment lengths
 
 This module is the ground-truth oracle for the abstract pipeline: the sum of
 the eight triangle areas of the mesh equals the chart's quadratic area form.
+
+The angle table of an octahedron is computed at most once and cached on it:
+`face_angles`, `deficits`, `o_points` and `chart` all read the same table.
+That is safe because an `EmbeddedOctahedron` from `validate` holds private,
+read-only copies of its vertices, so the table can never go stale.  The 3-D
+steps run on Python floats: numpy's per-call cost dominates on 3-vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -34,9 +43,16 @@ FACE_VERTICES = {
 }
 
 
+Vec3 = tuple[float, float, float]
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddedOctahedron:
-    """Validated vertex triple; the octahedron is hull(+-v1, +-v2, +-v3)."""
+    """Validated vertex triple; the octahedron is hull(+-v1, +-v2, +-v3).
+
+    Build it with `validate`, which makes v1..v3 read-only copies; the face
+    angles are derived from them once and cached.
+    """
 
     v1: np.ndarray
     v2: np.ndarray
@@ -47,14 +63,18 @@ class EmbeddedOctahedron:
                 "v1'": -self.v1, "v2'": -self.v2, "v3'": -self.v3}
 
     def scaled(self, factor: float) -> "EmbeddedOctahedron":
-        return EmbeddedOctahedron(self.v1 * factor, self.v2 * factor, self.v3 * factor)
+        return validate(self.v1 * factor, self.v2 * factor, self.v3 * factor)
+
+    @cached_property
+    def _angles(self) -> "FaceAngles":
+        return _face_angle_table(self)
 
 
 @dataclass(frozen=True, eq=False)
 class FaceAngles:
     """Angles omega[(face, vertex)] of T1..T4; primed faces resolve by symmetry."""
 
-    angles: dict[tuple[str, str], float] = field(repr=False)
+    angles: Mapping[tuple[str, str], float] = field(repr=False)
 
     def omega(self, face: str, vertex: str) -> float:
         if face.endswith("'"):
@@ -63,15 +83,39 @@ class FaceAngles:
         return self.angles[(face, vertex)]
 
 
-def _angle_at(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    u = q - p
-    v = r - p
-    cos = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+def _sub(p: Vec3, q: Vec3) -> Vec3:
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
-def _triangle_area(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    return 0.5 * float(np.linalg.norm(np.cross(q - p, r - p)))
+def _dot(u: Vec3, v: Vec3) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: Vec3, v: Vec3) -> Vec3:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _norm(u: Vec3) -> float:
+    return math.sqrt(_dot(u, u))
+
+
+def _scalar_points(e: EmbeddedOctahedron) -> dict[str, Vec3]:
+    """`e.points()` as float tuples."""
+    v1, v2, v3 = (tuple(v.tolist()) for v in (e.v1, e.v2, e.v3))
+    return {"v1": v1, "v2": v2, "v3": v3,
+            "v1'": (-v1[0], -v1[1], -v1[2]), "v2'": (-v2[0], -v2[1], -v2[2]),
+            "v3'": (-v3[0], -v3[1], -v3[2])}
+
+
+def _angle_at(p: Vec3, q: Vec3, r: Vec3) -> float:
+    u = _sub(q, p)
+    v = _sub(r, p)
+    cos = _dot(u, v) / (_norm(u) * _norm(v))
+    return math.acos(min(max(cos, -1.0), 1.0))
+
+
+def _triangle_area(p: Vec3, q: Vec3, r: Vec3) -> float:
+    return 0.5 * _norm(_cross(_sub(q, p), _sub(r, p)))
 
 
 def validate(v1, v2, v3) -> EmbeddedOctahedron:
@@ -81,7 +125,7 @@ def validate(v1, v2, v3) -> EmbeddedOctahedron:
     vectors.  Independence suffices: hull(+-v1, +-v2, +-v3) is then a linear
     image of the cross-polytope, so every sign triangle is a face.
     """
-    vs = [np.asarray(v, dtype=float).reshape(3) for v in (v1, v2, v3)]
+    vs = [np.array(v, dtype=float).reshape(3) for v in (v1, v2, v3)]
     scale = max(float(np.linalg.norm(v)) for v in vs)
     if scale == 0.0 or not all(np.isfinite(v).all() for v in vs):
         raise DegenerateVertices("vertices must be finite nonzero vectors")
@@ -94,20 +138,25 @@ def validate(v1, v2, v3) -> EmbeddedOctahedron:
     return out
 
 
-def face_angles(e: EmbeddedOctahedron) -> FaceAngles:
-    """All angles of T1..T4 at their three corners."""
-    pts = e.points()
+def _face_angle_table(e: EmbeddedOctahedron) -> FaceAngles:
+    pts = _scalar_points(e)
     angles: dict[tuple[str, str], float] = {}
     for face, labels in FACE_VERTICES.items():
         tri = [pts[x] for x in labels]
         for i, vertex in enumerate(labels):
             angles[(face, vertex)] = _angle_at(tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
-    return FaceAngles(angles)
+    # read-only: every caller of face_angles(e) shares this table
+    return FaceAngles(MappingProxyType(angles))
+
+
+def face_angles(e: EmbeddedOctahedron) -> FaceAngles:
+    """All angles of T1..T4 at their three corners (computed once per octahedron)."""
+    return e._angles
 
 
 def deficits(e: EmbeddedOctahedron) -> ConeDeficits:
     """Cone-deficits 2*pi minus the four face angles meeting at each vertex."""
-    fa = face_angles(e)
+    fa = e._angles
     d1 = TWO_PI - sum(fa.omega(f, "v1") for f in ("T1", "T2", "T3", "T4"))
     d2 = TWO_PI - (fa.omega("T2", "v2") + fa.omega("T3", "v2")
                    + fa.omega("T1", "v2'") + fa.omega("T4", "v2'"))
@@ -135,28 +184,34 @@ def alpha_beta(fa: FaceAngles) -> tuple[float, float]:
     return alpha, beta
 
 
-def _locate(base0: np.ndarray, base1: np.ndarray, apex: np.ndarray,
-            ang_at_base0: float, ang_at_base1: float) -> np.ndarray:
+def _locate(base0: Vec3, base1: Vec3, apex: Vec3,
+            ang_at_base0: float, ang_at_base1: float) -> Vec3:
     """Point inside the triangle seen from base0 under ang_at_base0 and from base1
     under ang_at_base1, built in a planar frame of the face to avoid 3-D line
     intersection conditioning."""
-    span = base1 - base0
-    length = float(np.linalg.norm(span))
-    ex = span / length
-    normal = np.cross(span, apex - base0)
-    normal /= np.linalg.norm(normal)
-    ey = np.cross(normal, ex)  # ey points toward the apex by construction
+    span = _sub(base1, base0)
+    length = _norm(span)
+    ex = (span[0] / length, span[1] / length, span[2] / length)
+    normal = _cross(span, _sub(apex, base0))
+    n = _norm(normal)
+    normal = (normal[0] / n, normal[1] / n, normal[2] / n)
+    ey = _cross(normal, ex)  # ey points toward the apex by construction
     r = length * math.sin(ang_at_base1) / math.sin(ang_at_base0 + ang_at_base1)
-    return base0 + r * (math.cos(ang_at_base0) * ex + math.sin(ang_at_base0) * ey)
+    cx, cy = math.cos(ang_at_base0), math.sin(ang_at_base0)
+    return tuple(b + r * (cx * x + cy * y) for b, x, y in zip(base0, ex, ey))
+
+
+def _o_points(e: EmbeddedOctahedron, pts: dict[str, Vec3]) -> tuple[Vec3, Vec3]:
+    alpha, beta = alpha_beta(e._angles)
+    o3 = _locate(pts["v3"], pts["v2"], pts["v1"], alpha, beta)
+    o1 = _locate(pts["v2'"], pts["v3'"], pts["v1"], alpha, beta)
+    return o1, o3
 
 
 def o_points(e: EmbeddedOctahedron) -> tuple[np.ndarray, np.ndarray]:
     """The distinguished interior points (O1 in T1, O3 in T3)."""
-    fa = face_angles(e)
-    alpha, beta = alpha_beta(fa)
-    o3 = _locate(e.v3, e.v2, e.v1, alpha, beta)
-    o1 = _locate(-e.v2, -e.v3, e.v1, alpha, beta)
-    return o1, o3
+    o1, o3 = _o_points(e, _scalar_points(e))
+    return np.array(o1), np.array(o3)
 
 
 def chart(e: EmbeddedOctahedron) -> ChartPoint:
@@ -166,17 +221,16 @@ def chart(e: EmbeddedOctahedron) -> ChartPoint:
     d = |O1 v1|.  With this binding the mesh area equals the quadratic form
     2[(ab+cd)S1 + (ac+bd)S2 + (ad+bc)S3].
     """
-    o1, o3 = o_points(e)
-    a = float(np.linalg.norm(o1 + e.v2))
-    b = float(np.linalg.norm(o1 + e.v3))
-    c = float(np.linalg.norm(o3 - e.v1))
-    d = float(np.linalg.norm(o1 - e.v1))
-    return ChartPoint(a, b, c, d)
+    pts = _scalar_points(e)
+    o1, o3 = _o_points(e, pts)
+    return ChartPoint(_norm(_sub(o1, pts["v2'"])), _norm(_sub(o1, pts["v3'"])),
+                      _norm(_sub(o3, pts["v1"])), _norm(_sub(o1, pts["v1"])))
 
 
 def mesh_area(e: EmbeddedOctahedron) -> float:
     """Sum of the eight triangle areas (antipodal faces contribute equally)."""
-    return 2.0 * sum(_triangle_area(*(e.points()[x] for x in labels))
+    pts = _scalar_points(e)
+    return 2.0 * sum(_triangle_area(*(pts[x] for x in labels))
                      for labels in FACE_VERTICES.values())
 
 

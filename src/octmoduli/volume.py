@@ -15,6 +15,7 @@ independent check of the closed form.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,7 +111,8 @@ def monte_carlo_volume(d: ConeDeficits, samples: int, seed: int,
     grow and truncation shrinks.
 
     Sampling is split into fixed-size substreams keyed by (seed, shard), so
-    the result is bit-identical for any worker count.
+    the result is bit-identical for any worker count.  At most
+    min(workers, shard count, CPU count) threads run.
     """
     samples = int(samples)
     if samples < MIN_SAMPLES:
@@ -124,6 +126,8 @@ def monte_carlo_volume(d: ConeDeficits, samples: int, seed: int,
 
     shards = [(s, min(_SHARD_SIZE, samples - s * _SHARD_SIZE))
               for s in range((samples + _SHARD_SIZE - 1) // _SHARD_SIZE)]
+    # more threads than shards or CPUs only adds start-up cost
+    workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 
 from octmoduli import ChartPoint, make_deficits
+from octmoduli.decomposition import VERTEX_ORBITS, face_edge_letters, face_vertices
 from octmoduli.embedding import EmbeddedOctahedron, o_points
 
 TWO_PI = 2.0 * math.pi
@@ -186,3 +187,27 @@ def polygon_is_simple(points, eps=1e-12):
                                points[j], points[(j + 1) % n], tol):
                 return False
     return True
+
+
+def gluing_scan(family, p):
+    """Brute-force gluing of a twelve-face family with chart p: every edge of
+    every face, keyed by its two end labels, and every face corner, summed per
+    vertex orbit in face then corner order.
+
+    Returns (groups, corner_sums): the edge groups ordered by their sorted end
+    labels, each a list of ((face, edge index), chart letter, length), and
+    {orbit: total corner angle}.
+    """
+    lengths = dict(zip("abcd", p.as_tuple()))
+    slots = {}
+    corner_sums = {v: 0.0 for v in VERTEX_ORBITS}
+    for f in family:
+        verts = face_vertices(f.label)
+        letters = face_edge_letters(f.label)
+        for i in range(4):
+            key = frozenset((verts[i], verts[(i + 1) % 4]))
+            slots.setdefault(key, []).append(((f.label, i), letters[i], lengths[letters[i]]))
+            vertex_corner = verts[i].startswith("v")
+            corner_sums[verts[i]] += f.corner_angle if vertex_corner else math.pi - f.corner_angle
+    groups = [group for _, group in sorted(slots.items(), key=lambda kv: sorted(kv[0]))]
+    return groups, corner_sums

@@ -97,6 +97,21 @@ def test_embed_coplanar_error(capsys):
     assert doc["payload"]["code"] == "DegenerateVertices"
 
 
+@pytest.mark.parametrize("vertices", [
+    '[[1,0,0],[0,1,0],["x",0,1]]',
+    '[[1,0,0],[0,1,0],[true,0,1]]',
+    '[[1,0,0],[0,1,0],[null,0,1]]',
+    '[[1' + '0' * 400 + ',0,0],[0,1,0],[0,0,1]]',
+    '[[1' + '0' * 5000 + ',0,0],[0,1,0],[0,0,1]]',
+], ids=["string", "boolean", "null", "overflowing-integer", "integer-too-long"])
+def test_embed_rejects_non_numeric_vertices(capsys, vertices):
+    code, out = run_cli(capsys, "embed", "--vertices", vertices)
+    assert code == 1
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error" and doc["payload"]["code"] == "CliInputError"
+
+
 def test_chart_command(capsys, tmp_path):
     svg_path = tmp_path / "net.svg"
     code, doc = run_json(capsys, "chart", "--deficits", "2pi/3,2pi/3,2pi/3",
@@ -120,6 +135,36 @@ def test_chart_rejects_zero_coordinate(capsys):
                          "--chart", "1,1,0,1")
     assert code == 1
     assert doc["payload"]["code"] == "NonPositiveChart"
+
+
+def test_chart_svg_unwritable_path(capsys, tmp_path):
+    code, out = run_cli(capsys, "chart", "--deficits", "2pi/3,2pi/3,2pi/3",
+                        "--chart", "1,1,1,1", "--svg", str(tmp_path / "missing" / "x.svg"))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["payload"]["code"] == "CliInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("canon", "--deficits", "2pi/3,2pi/3,2pi/3", "--chart", "nan,1,1,1"),
+    ("distance", "--deficits", "2pi/3,2pi/3,2pi/3", "--chart1", "inf,1,1,1",
+     "--chart2", "1,1,1,1"),
+    ("chart", "--deficits", "2pi/3,2pi/3,2pi/3", "--chart", "1,-inf,1,1"),
+])
+def test_non_finite_chart_is_input_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["payload"]["code"] == "CliInputError"
+
+
+def test_non_finite_result_is_numeric_error(capsys, monkeypatch):
+    monkeypatch.setattr("octmoduli.volume.tetrahedron_volume", lambda d: float("nan"))
+    code, out = run_cli(capsys, "volume", "--deficits", "2pi/3,2pi/3,2pi/3")
+    assert code == 2
+    assert out.count("\n") == 1
+    doc = json.loads(out)  # strict JSON: no NaN token
+    assert doc["status"] == "error" and doc["payload"]["code"] == "NonFiniteOutput"
 
 
 def test_distance_presets(capsys):
@@ -207,6 +252,14 @@ def test_seed_env_var_default(capsys, monkeypatch):
     assert code == 0 and doc["payload"]["monte_carlo"]["seed"] == 17
     _, explicit = run_json(capsys, *args, "--seed", "17")
     assert doc == explicit
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_volume_rejects_nonpositive_workers(capsys, workers):
+    code, doc = run_json(capsys, "volume", "--deficits", "2pi/3,2pi/3,2pi/3",
+                         "--mc", "20000", "--workers", workers)
+    assert code == 1
+    assert doc["payload"]["code"] == "CliInputError"
 
 
 def test_monte_carlo_worker_count_stable(capsys):

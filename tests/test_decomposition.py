@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (MARKED_SIDE_PAIRS, develop_octagon_3d, interior_angles,
+from helpers import (MARKED_SIDE_PAIRS, develop_octagon_3d, gluing_scan, interior_angles,
                      polygon_is_simple, sample_chart, sample_deficits)
 from octmoduli import (ChartPoint, area, build_gluing, chart, cone_angle, deficits,
                        develop_octagon, make_deficits, parallelogram_family,
@@ -79,6 +79,28 @@ def test_build_gluing_rejects_tampered_family():
                         spec.corner_angle, spec.corner_vertex)
     with pytest.raises(GluingInconsistent):
         build_gluing(bad)
+
+
+def test_gluing_tables_match_brute_force_scan():
+    # the input-independent tables build_gluing, cone_angle and
+    # parallelogram_family read, against the per-call scan they replace: every
+    # edge lies in exactly two faces, 24 edges, each glued pair of one chart
+    # letter (so of equal length), and bit-identical corner sums
+    rng = np.random.default_rng(36)
+    for _ in range(1000):
+        d = sample_deficits(rng)
+        p = sample_chart(rng)
+        family = parallelogram_family(p, d)
+        g = build_gluing(family)
+        groups, corner_sums = gluing_scan(family, p)
+        assert len(groups) == 24
+        assert all(len(group) == 2 for group in groups)
+        assert all(letter_a == letter_b and len_a == len_b
+                   for (_, letter_a, len_a), (_, letter_b, len_b) in groups)
+        assert g.edge_pairs == tuple((slot_a, slot_b) for (slot_a, _, _), (slot_b, _, _) in groups)
+        assert {v: cone_angle(g, v) for v in VERTEX_ORBITS} == corner_sums
+        for f in family:
+            assert f.corner_vertex == next(x for x in face_vertices(f.label) if x.startswith("v"))
 
 
 def test_cone_angles_equilateral():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import octahedron_mesh_area, sample_deficits
-from octmoduli import (alpha_beta, area, chart, deficits, face_angles, mesh_area,
+from octmoduli import (alpha_beta, area, chart, deficits, embedding, face_angles, mesh_area,
                        random_octahedron, trig_pack, validate)
 from octmoduli.embedding import o_points
 from octmoduli.errors import DegenerateVertices
@@ -63,6 +63,27 @@ def test_face_angles_regular():
         for (f, v), val in fa.angles.items():
             if f == face:
                 assert val == pytest.approx(math.pi / 3, abs=1e-14)
+
+
+def test_face_angles_computed_once_per_octahedron(monkeypatch):
+    computed = []
+    compute = embedding._face_angle_table
+    monkeypatch.setattr(embedding, "_face_angle_table",
+                        lambda e: computed.append(e) or compute(e))
+    e = random_octahedron(np.random.default_rng(20))
+    deficits(e)
+    alpha_beta(face_angles(e))
+    chart(e)
+    mesh_area(e)
+    o_points(e)
+    assert computed == [e]
+    with pytest.raises(TypeError):  # the shared table is read-only
+        face_angles(e).angles[("T1", "v1")] = 0.0
+    # validate stores copies, so a caller's later writes cannot stale the table
+    v1 = np.array([1.0, 0.0, 0.0])
+    e = validate(v1, E3[1], E3[2])
+    v1[0] = 2.0
+    assert e.v1[0] == 1.0 and not e.v1.flags.writeable
 
 
 def test_face_angle_sums_and_antipodal_symmetry():

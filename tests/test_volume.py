@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import sample_deficits
-from octmoduli import lobachevsky, make_deficits, monte_carlo_volume, tetrahedron_volume
+from octmoduli import (lobachevsky, make_deficits, monte_carlo_volume, tetrahedron_volume,
+                       volume)
 from octmoduli.errors import BadSampleCount, BadTruncation
 
 EQUILATERAL = make_deficits(2 * math.pi / 3, 2 * math.pi / 3, 2 * math.pi / 3)
@@ -89,6 +90,38 @@ def test_monte_carlo_deterministic_and_worker_independent():
     assert a == b == c
     d = monte_carlo_volume(EQUILATERAL, 200_000, seed=8)
     assert d.value != a.value
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (10**6, 64, 2),  # capped by the shard count
+    (10**6, 1, None),  # capped by the CPU count: serial, no executor
+    (3, 64, 2),
+    (2, 2, 2),
+])
+def test_monte_carlo_worker_cap(monkeypatch, workers, cpus, expected):
+    created = []
+
+    class SerialExecutor:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(volume.os, "cpu_count", lambda: cpus)
+    samples = 2 * volume._SHARD_SIZE - 1  # two shards
+    est = monte_carlo_volume(EQUILATERAL, samples, seed=7, workers=workers)
+    assert created == ([] if expected is None else [expected])
+    assert est == monte_carlo_volume(EQUILATERAL, samples, seed=7)
 
 
 def test_monte_carlo_estimate_accuracy():
